@@ -161,6 +161,18 @@ impl Decoder {
         Ok(image)
     }
 
+    /// Decodes a batch of streams: one [`decode`](Self::decode) per
+    /// stream, fanned out across the `deepn-parallel` pool at image grain.
+    /// Results come back in input order, each identical to a lone `decode`
+    /// of that stream at any `DEEPN_THREADS`; one stream's error does not
+    /// stop the others.
+    pub fn decode_batch<B>(&self, streams: &[B]) -> Vec<Result<RgbImage, CodecError>>
+    where
+        B: AsRef<[u8]> + Sync,
+    {
+        deepn_parallel::par_map_collect(streams, |_, bytes| self.decode(bytes.as_ref()))
+    }
+
     /// Opens a streaming decode session over `bytes`: headers are parsed
     /// eagerly, pixel strips are produced on demand by
     /// [`StreamDecoder::next_strip`].

@@ -250,6 +250,15 @@ impl Encoder {
         session.finish()
     }
 
+    /// Encodes a batch of images: one [`encode`](Self::encode) per image,
+    /// fanned out across the `deepn-parallel` pool at image grain.
+    /// Results come back in input order, each byte-identical to a lone
+    /// `encode` of that image at any `DEEPN_THREADS`; one image's error
+    /// does not stop the others.
+    pub fn encode_batch(&self, images: &[RgbImage]) -> Vec<Result<Vec<u8>, CodecError>> {
+        deepn_parallel::par_map_collect(images, |_, image| self.encode(image))
+    }
+
     /// Opens a push-based streaming encode session for a
     /// `width` × `height` image (see [`StreamEncoder`]).
     ///

@@ -7,10 +7,13 @@
 //! length-prefixed localhost TCP protocol.
 //!
 //! Architecture: an acceptor thread hands each connection to a lightweight
-//! reader thread; every image in a batch request becomes one job on a
-//! **bounded** queue drained by a fixed worker pool, so a single large
-//! batch parallelizes across cores and an overloaded service applies
-//! backpressure (submission blocks) instead of growing without bound.
+//! reader thread. The service runs whole requests through one executor:
+//! a v1 connection runs its own inline, and `--workers` threads run
+//! tagged windows off a **bounded** queue, so an overloaded service
+//! applies backpressure (submission waits) instead of growing without
+//! bound. Either way a batch's images fan out on the shared
+//! `deepn-parallel` pool, so a single large batch parallelizes across
+//! cores.
 //!
 //! Both wire directions stream: `CompressStream` feeds pixels to the
 //! service one 8-row strip frame at a time, and `DecompressStream` frames

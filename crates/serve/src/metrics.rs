@@ -64,9 +64,10 @@ pub(crate) struct ServeMetrics {
     pub(crate) reply_buffer_high_water: Arc<Gauge>,
     /// Whole-request wall time, read-to-reply, per request.
     pub(crate) request_seconds: Arc<Histogram>,
-    /// Time a fan-out job spent queued before a worker dequeued it.
+    /// Time a work request spent queued before execution began (zero
+    /// for requests run inline on their connection thread).
     pub(crate) queue_wait_seconds: Arc<Histogram>,
-    /// Worker execution time per fan-out job.
+    /// Execution time per work request.
     pub(crate) execute_seconds: Arc<Histogram>,
     /// Time writing one reply frame to the socket.
     pub(crate) reply_write_seconds: Arc<Histogram>,
@@ -119,8 +120,14 @@ impl ServeMetrics {
             "deepn_serve_active_connections",
             "Connections currently being served.",
         );
-        let workers = r.gauge("deepn_serve_workers", "Configured worker count.");
-        let queue_depth = r.gauge("deepn_serve_queue_depth", "Configured job-queue bound.");
+        let workers = r.gauge(
+            "deepn_serve_workers",
+            "Configured tagged-window worker count.",
+        );
+        let queue_depth = r.gauge(
+            "deepn_serve_queue_depth",
+            "Configured tagged request-queue bound.",
+        );
         let max_connections = r.gauge(
             "deepn_serve_max_connections",
             "Configured connection limit.",
@@ -134,11 +141,11 @@ impl ServeMetrics {
         );
         let queue_wait_seconds = r.histogram(
             "deepn_serve_queue_wait_seconds",
-            "Time fan-out jobs spent queued before a worker picked them up.",
+            "Time work requests spent queued before execution began (0 when run inline).",
         );
         let execute_seconds = r.histogram(
             "deepn_serve_execute_seconds",
-            "Worker execution time per fan-out job.",
+            "Execution time per work request, all of its images.",
         );
         let reply_write_seconds = r.histogram(
             "deepn_serve_reply_write_seconds",

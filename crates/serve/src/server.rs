@@ -1,5 +1,8 @@
-//! The service: acceptor + per-connection readers + a bounded job queue
-//! drained by a fixed worker pool.
+//! The service: acceptor + per-connection readers + one request
+//! executor. Work requests run whole: a v1 connection runs them inline
+//! on its own thread, `--workers` threads run tagged windows off a
+//! bounded queue, and either way a batch's images fan out on the shared
+//! `deepn-parallel` pool.
 
 use crate::metrics::{Ctr, ServeMetrics};
 use crate::protocol::{self, Opcode, STATUS_BUSY, STATUS_ERR, STATUS_OK, STATUS_TIMEOUT};
@@ -15,20 +18,24 @@ use std::cell::Cell;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Worker-pool sizing and admission control.
+/// Tagged-window workers, queue bound, and admission control.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Number of codec worker threads. Each worker additionally gets
-    /// intra-image parallelism for free: the codec's block loops fan out
-    /// on the shared `deepn-parallel` pool (sized by `DEEPN_THREADS`), so
-    /// a single large image no longer serializes on one worker.
+    /// Number of tagged-window workers: threads that run whole requests
+    /// of tagged (protocol v2) connections off the bounded queue, so one
+    /// connection's window executes across them out of order. v1
+    /// requests, and a quiet tagged connection's small ones, run inline
+    /// on their connection thread instead. Either way a batch's images
+    /// fan out on the shared `deepn-parallel` pool (sized by
+    /// `DEEPN_THREADS`).
     pub workers: usize,
-    /// Bound of the job queue; submissions block when it is full, so an
+    /// Bound of the tagged request queue, one slot per whole request; a
+    /// submission waits (up to its deadline) while it is full, so an
     /// overloaded service applies backpressure instead of buffering
     /// without limit.
     pub queue_depth: usize,
@@ -112,50 +119,18 @@ pub struct StatsSnapshot {
     pub tagged_requests: u64,
 }
 
-/// One unit of work: a single image (or stream) from a batch request.
-enum JobRequest {
-    Encode(RgbImage),
-    Decode(Vec<u8>),
-    Classify(RgbImage),
-}
-
-enum JobResult {
-    Bytes(Vec<u8>),
-    Image(RgbImage),
-    Label(usize),
-}
-
-/// One queued unit of pool work: a v1 fan-out item, or a whole tagged
-/// (protocol v2) request executed inline by one worker — intra-image
-/// parallelism still fans out on the shared `deepn-parallel` pool, but
-/// the request occupies a single queue slot and a single worker, so a
-/// tagged connection's window can run *across* workers without nested
-/// fan-out ever deadlocking the bounded queue.
-enum Job {
-    Item(ItemJob),
-    Whole(WholeJob),
-}
-
-struct ItemJob {
-    index: usize,
-    req: JobRequest,
-    reply: mpsc::Sender<(usize, Result<JobResult, String>)>,
-    /// Set when the submitting request gave up (deadline); workers skip
-    /// cancelled jobs instead of computing results nobody collects.
-    cancelled: Arc<AtomicBool>,
-    /// Trace timestamp of the (last) submission attempt, for the
-    /// queue-wait histogram and span.
-    submitted_ns: u64,
-}
-
-/// A whole tagged request: the worker loops the batch items inline,
-/// builds the complete reply body (status byte included), and hands it
-/// to the connection's writer thread.
+/// One queued tagged (protocol v2) request: a worker runs it whole with
+/// [`run_whole`] and hands the complete reply body (status byte
+/// included) to the connection's writer thread. The request occupies one
+/// queue slot and one worker, so a tagged connection's window runs
+/// *across* workers while its images fan out on the shared pool.
 struct WholeJob {
     work: WholeWork,
     tag: u32,
     reply: ReplySink,
     deadline: Option<(Duration, Instant)>,
+    /// Trace timestamp of the (last) submission attempt, for the
+    /// queue-wait histogram and span.
     submitted_ns: u64,
     /// Frame-read timestamp — the whole-request clock the writer closes.
     start_ns: u64,
@@ -171,15 +146,24 @@ enum WholeWork {
 
 /// Requests at or under this cost (pixels for encode, compressed bytes
 /// for decode) may run inline on a quiet tagged connection's reader
-/// instead of the pool: small enough that holding the reader off the
+/// instead of a worker: small enough that holding the reader off the
 /// socket costs less than two thread hand-offs, while anything larger
 /// keeps the window's out-of-order concurrency.
 const INLINE_WORK_BUDGET: usize = 4096;
 
 impl WholeWork {
+    /// The image counter this request advances once it succeeds.
+    fn counter(&self) -> (Ctr, u64) {
+        match self {
+            WholeWork::Encode(images) => (Ctr::ImagesEncoded, images.len() as u64),
+            WholeWork::Decode(blobs) => (Ctr::ImagesDecoded, blobs.len() as u64),
+            WholeWork::Classify(images) => (Ctr::ImagesClassified, images.len() as u64),
+        }
+    }
+
     /// A unit-less size proxy for the inline-execution decision.
-    /// `Classify` never inlines: model inference is the heaviest op and
-    /// the reader does not hold the model anyway.
+    /// `Classify` never inlines on a tagged connection: model inference
+    /// is the heaviest op.
     fn inline_cost(&self) -> usize {
         match self {
             WholeWork::Encode(images) => images.iter().map(|i| i.width() * i.height()).sum(),
@@ -194,7 +178,7 @@ impl WholeWork {
 /// it onto a background one.
 pub struct Server {
     listener: TcpListener,
-    tables: Arc<QuantTablePair>,
+    encoder: Arc<Encoder>,
     model: Option<Arc<Sequential>>,
     config: ServerConfig,
     counters: Arc<ServeMetrics>,
@@ -266,7 +250,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
-            tables: Arc::new(tables),
+            encoder: Arc::new(Encoder::with_tables(tables)),
             model: model.map(Arc::new),
             config,
             counters,
@@ -286,22 +270,22 @@ impl Server {
     }
 
     /// Runs the accept loop on the current thread until a shutdown request
-    /// arrives, then drains the worker pool and returns.
+    /// arrives, then drains the tagged-window workers and returns.
     ///
     /// # Errors
     ///
     /// Fatal socket errors from the accept loop.
     pub fn run(self) -> io::Result<()> {
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(self.config.queue_depth);
+        let (job_tx, job_rx) = mpsc::sync_channel::<WholeJob>(self.config.queue_depth);
         let job_rx = Arc::new(Mutex::new(job_rx));
         let mut workers = Vec::with_capacity(self.config.workers);
         for _ in 0..self.config.workers {
             let rx = Arc::clone(&job_rx);
-            let tables = Arc::clone(&self.tables);
+            let encoder = Arc::clone(&self.encoder);
             let model = self.model.clone();
             let metrics = Arc::clone(&self.counters);
             workers.push(thread::spawn(move || {
-                worker_loop(&rx, &tables, model, &metrics)
+                worker_loop(&rx, &encoder, model.as_deref(), &metrics)
             }));
         }
         let addr = self
@@ -332,11 +316,11 @@ impl Server {
                         guard.active.fetch_add(1, Ordering::SeqCst) >= self.config.max_connections;
                     let ctx = ConnCtx {
                         job_tx: job_tx.clone(),
-                        tables: Arc::clone(&self.tables),
+                        encoder: Arc::clone(&self.encoder),
+                        model: self.model.clone(),
                         counters: Arc::clone(&self.counters),
                         shutdown: Arc::clone(&self.shutdown),
                         config: self.config.clone(),
-                        has_model: self.model.is_some(),
                         active: Arc::clone(&self.active),
                         rejecting: Arc::clone(&self.rejecting),
                         limited,
@@ -403,12 +387,12 @@ impl Drop for ConnGuard {
 
 /// Everything a connection reader needs.
 struct ConnCtx {
-    job_tx: SyncSender<Job>,
-    tables: Arc<QuantTablePair>,
+    job_tx: SyncSender<WholeJob>,
+    encoder: Arc<Encoder>,
+    model: Option<Arc<Sequential>>,
     counters: Arc<ServeMetrics>,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
-    has_model: bool,
     active: Arc<AtomicUsize>,
     rejecting: Arc<AtomicUsize>,
     limited: bool,
@@ -455,8 +439,31 @@ struct TaggedReply {
     status: &'static str,
 }
 
+impl TaggedReply {
+    /// A finished reply that retires its tag, stamped complete now.
+    fn done(
+        tag: u32,
+        req_id: u64,
+        span: &'static str,
+        start_ns: u64,
+        body: Vec<u8>,
+        status: &'static str,
+    ) -> Self {
+        TaggedReply {
+            tag,
+            body,
+            release: true,
+            req_id,
+            span,
+            start_ns,
+            done_ns: deepn_trace::tick(),
+            status,
+        }
+    }
+}
+
 /// The producer half of a tagged connection's reply queue. Unbounded so
-/// pool workers never block on one connection's slow writer; occupancy
+/// workers never block on one connection's slow writer; occupancy
 /// is bounded anyway because the reader admits at most `tagged_window`
 /// requests into flight.
 #[derive(Clone)]
@@ -508,7 +515,7 @@ struct TagWindow {
 enum Admit {
     /// Admitted; `sole` is true when the tag is the window's only
     /// occupant, i.e. nothing else of this connection is in flight
-    /// anywhere (pool queue, worker, or reply queue, since all of those
+    /// anywhere (worker queue, worker, or reply queue, since all of those
     /// hold their tag until written).
     Admitted { sole: bool },
     /// The tag is already in flight on this connection.
@@ -668,7 +675,7 @@ fn tagged_writer_loop(
 /// pays the thread spawn at all — which matters under connection churn,
 /// where the spawn would otherwise tax every reconnect. The reader must
 /// call [`ensure`](LazyWriter::ensure) before the first reply (its own
-/// or a pool job's) can reach the queue.
+/// or a worker's) can reach the queue.
 struct LazyWriter {
     parts: Option<(TcpStream, Receiver<TaggedReply>)>,
     window: Arc<TagWindow>,
@@ -774,7 +781,7 @@ impl ConnCtx {
         // Huffman encoder (single-pass streaming cannot rewind the peer
         // for an optimized-table analysis pass) and the strip workspaces,
         // all reused across every streamed image on this connection.
-        let stream_encoder = Encoder::with_tables((*self.tables).clone()).optimize_huffman(false);
+        let stream_encoder = (*self.encoder).clone().optimize_huffman(false);
         let mut stream_ws = EncodeWorkspace::new();
         let mut stream_strip = PixelStrip::new();
         let stream_decoder = Decoder::new();
@@ -925,7 +932,7 @@ impl ConnCtx {
     /// The tagged (protocol v2) serve loop, entered after a `Hello`
     /// granted [`protocol::FEATURE_TAGGED`]. The reader admits up to
     /// `tagged_window` of this connection's requests into flight at
-    /// once: work ops run **whole** on the shared worker pool (one
+    /// once: work ops run **whole** on the tagged-window workers (one
     /// queue slot, one worker each), cheap ops are answered inline, and
     /// a dedicated writer thread delivers replies tag-matched in
     /// completion order — out of order relative to submission. The
@@ -963,12 +970,6 @@ impl ConnCtx {
             conn_id: self.conn_id,
             slow: self.config.slow_threshold,
         };
-        // Codec state for the quiet-connection inline path, mirroring
-        // the pool workers' setup so inline replies are byte-identical.
-        let inline_encoder = Encoder::with_tables((*self.tables).clone());
-        let inline_decoder = Decoder::new();
-        let mut inline_enc_ws = EncodeWorkspace::new();
-        let mut inline_dec_ws = DecodeWorkspace::new();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
@@ -1002,34 +1003,11 @@ impl ConnCtx {
                 return;
             };
             let span = opcode_span_name(rest.first().copied());
-            let (op, payload) = match rest.split_first() {
-                Some((&b, payload)) => match Opcode::from_u8(b) {
-                    Some(op) => (op, payload),
-                    None => {
-                        writer.ensure();
-                        reject_tagged(
-                            &replies,
-                            tag,
-                            req_id,
-                            span,
-                            start_ns,
-                            ServeError::Protocol(format!("unknown opcode {b}")),
-                            false,
-                        );
-                        continue;
-                    }
-                },
-                None => {
+            let (op, payload) = match split_op(rest) {
+                Ok(request) => request,
+                Err(e) => {
                     writer.ensure();
-                    reject_tagged(
-                        &replies,
-                        tag,
-                        req_id,
-                        span,
-                        start_ns,
-                        ServeError::Protocol("empty request frame".into()),
-                        false,
-                    );
+                    reject_tagged(&replies, tag, req_id, span, start_ns, e, false);
                     continue;
                 }
             };
@@ -1094,67 +1072,21 @@ impl ConnCtx {
                 Admit::Admitted { sole } => sole,
             };
             match op {
-                Opcode::Ping => {
-                    self.answer_cheap(
-                        stream,
-                        &replies,
-                        &window,
-                        &mut writer,
-                        sole,
-                        tag,
-                        vec![STATUS_OK],
-                        req_id,
-                        span,
-                        start_ns,
-                    );
-                }
-                Opcode::Stats => {
-                    let mut w = ByteWriter::new();
-                    w.put_u8(STATUS_OK);
-                    w.put_bytes(&self.stats_payload());
-                    self.answer_cheap(
-                        stream,
-                        &replies,
-                        &window,
-                        &mut writer,
-                        sole,
-                        tag,
-                        w.into_bytes(),
-                        req_id,
-                        span,
-                        start_ns,
-                    );
-                }
-                Opcode::Metrics => {
-                    let mut w = ByteWriter::new();
-                    w.put_u8(STATUS_OK);
-                    let active = self.active.load(Ordering::SeqCst) as u64;
-                    w.put_string(&self.counters.render(active));
-                    self.answer_cheap(
-                        stream,
-                        &replies,
-                        &window,
-                        &mut writer,
-                        sole,
-                        tag,
-                        w.into_bytes(),
-                        req_id,
-                        span,
-                        start_ns,
-                    );
+                Opcode::Ping | Opcode::Stats | Opcode::Metrics => {
+                    let reply =
+                        TaggedReply::done(tag, req_id, span, start_ns, self.cheap_reply(op), "ok");
+                    self.answer_cheap(stream, &replies, &window, &mut writer, sole, reply);
                 }
                 Opcode::Shutdown => {
                     writer.ensure();
-                    replies.send(TaggedReply {
+                    replies.send(TaggedReply::done(
                         tag,
-                        body: vec![STATUS_OK],
-                        release: true,
                         req_id,
                         span,
                         start_ns,
-                        done_ns: deepn_trace::tick(),
-                        status: "ok",
-                    });
+                        vec![STATUS_OK],
+                        "ok",
+                    ));
                     self.shutdown.store(true, Ordering::SeqCst);
                     return;
                 }
@@ -1173,24 +1105,10 @@ impl ConnCtx {
                             // else is in flight, so blocking the reader
                             // for this small request trades no window
                             // concurrency away and skips both thread
-                            // hand-offs (pool submit, writer wake).
-                            let deadline =
-                                self.config.request_timeout.map(|t| (t, Instant::now() + t));
-                            let reply = run_whole(
-                                work,
-                                tag,
-                                deadline,
-                                deepn_trace::tick(),
-                                start_ns,
-                                req_id,
-                                span,
-                                &inline_encoder,
-                                &inline_decoder,
-                                None,
-                                &mut inline_enc_ws,
-                                &mut inline_dec_ws,
-                                &self.counters,
-                            );
+                            // hand-offs (queue submit, writer wake).
+                            let (body, status) = self.run_inline(work);
+                            let reply =
+                                TaggedReply::done(tag, req_id, span, start_ns, body, status);
                             self.fast_deliver(stream, &window, reply);
                         }
                         Ok(work) => {
@@ -1215,7 +1133,6 @@ impl ConnCtx {
     /// hand-off that costs two context switches per request on a busy
     /// single-core host. Serial tagged clients hit this path on every
     /// cheap request, matching v1's inline-answer cost.
-    #[allow(clippy::too_many_arguments)]
     fn answer_cheap(
         &self,
         stream: &mut TcpStream,
@@ -1223,22 +1140,8 @@ impl ConnCtx {
         window: &TagWindow,
         writer: &mut LazyWriter,
         sole: bool,
-        tag: u32,
-        body: Vec<u8>,
-        req_id: u64,
-        span: &'static str,
-        start_ns: u64,
+        reply: TaggedReply,
     ) {
-        let reply = TaggedReply {
-            tag,
-            body,
-            release: true,
-            req_id,
-            span,
-            start_ns,
-            done_ns: deepn_trace::tick(),
-            status: "ok",
-        };
         if sole && replies.writer_idle() {
             self.fast_deliver(stream, window, reply);
             return;
@@ -1269,7 +1172,27 @@ impl ConnCtx {
         window.release(reply.tag);
     }
 
-    /// Parses a tagged work op's payload into its whole-request job.
+    /// A fresh per-request budget, measured from now.
+    fn deadline(&self) -> Option<(Duration, Instant)> {
+        self.config.request_timeout.map(|t| (t, Instant::now() + t))
+    }
+
+    /// Runs one whole work request on the calling thread: a v1 request,
+    /// or a small one on a quiet tagged connection. Records a zero-wait
+    /// queue sample, so `queue_wait` keeps one sample per work request.
+    fn run_inline(&self, work: WholeWork) -> (Vec<u8>, &'static str) {
+        run_whole(
+            work,
+            self.deadline(),
+            deepn_trace::tick(),
+            &self.encoder,
+            self.model.as_deref(),
+            &self.counters,
+        )
+    }
+
+    /// Parses a work op's payload into its whole request, for both
+    /// framings.
     fn parse_work(&self, op: Opcode, payload: &[u8]) -> Result<WholeWork, ServeError> {
         let mut r = ByteReader::new(payload);
         match op {
@@ -1290,7 +1213,7 @@ impl ConnCtx {
                 Ok(WholeWork::Decode(blobs))
             }
             Opcode::Classify => {
-                if !self.has_model {
+                if self.model.is_none() {
                     return Err(ServeError::Remote(
                         "service started without a model artifact".into(),
                     ));
@@ -1302,14 +1225,14 @@ impl ConnCtx {
                 }
                 Ok(WholeWork::Classify(images))
             }
-            _ => Err(ServeError::Protocol(format!("op {op:?} is not pool work"))),
+            _ => Err(ServeError::Protocol(format!("op {op:?} is not batch work"))),
         }
     }
 
-    /// Submits one whole tagged request to the bounded pool queue,
-    /// honoring the per-request deadline during submission exactly like
-    /// the v1 fan-out path. Submission failures become typed replies on
-    /// the writer; the tag is released once that reply is written.
+    /// Submits one whole tagged request to the bounded worker queue,
+    /// honoring the per-request deadline during submission. Submission
+    /// failures become typed replies on the writer; the tag is released
+    /// once that reply is written.
     fn submit_whole(
         &self,
         work: WholeWork,
@@ -1319,8 +1242,8 @@ impl ConnCtx {
         span: &'static str,
         start_ns: u64,
     ) {
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
-        let mut job = Job::Whole(WholeJob {
+        let deadline = self.deadline();
+        let mut job = WholeJob {
             work,
             tag,
             reply: replies.clone(),
@@ -1329,7 +1252,7 @@ impl ConnCtx {
             start_ns,
             req_id,
             span,
-        });
+        };
         match &deadline {
             None => {
                 if self.job_tx.send(job).is_err() {
@@ -1380,9 +1303,7 @@ impl ConnCtx {
                         thread::sleep(Duration::from_millis(1));
                         // Queue wait measures queued time, not the
                         // submitter's backoff: restamp on each retry.
-                        if let Job::Whole(w) = &mut job {
-                            w.submitted_ns = deepn_trace::tick();
-                        }
+                        job.submitted_ns = deepn_trace::tick();
                     }
                 }
             },
@@ -1406,7 +1327,7 @@ impl ConnCtx {
         let mut r = ByteReader::new(payload);
         let width = r.u32()? as usize;
         let height = r.u32()? as usize;
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
+        let deadline = self.deadline();
         let mut session = encoder
             .stream_encoder(width, height)
             .map_err(|e| ServeError::Remote(format!("compress-stream rejected: {e}")))?;
@@ -1481,7 +1402,7 @@ impl ConnCtx {
         strip: &mut PixelStrip,
         timer: &RequestTimer<'_>,
     ) -> bool {
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
+        let deadline = self.deadline();
         let mut run = || -> Result<(), ServeError> {
             let mut r = ByteReader::new(payload);
             let jfif = protocol::get_blob(&mut r)?;
@@ -1540,243 +1461,80 @@ impl ConnCtx {
         }
     }
 
-    /// Handles one request, returning `(reply_body, shutdown)`.
+    /// Handles one v1 request frame, returning `(reply_body, shutdown)`.
+    /// Work ops run whole and inline: a v1 connection is serial, so its
+    /// thread would only wait for a worker anyway.
     fn handle(&self, body: &[u8]) -> (Vec<u8>, bool) {
-        match self.dispatch(body) {
-            Ok((payload, stop)) => {
-                let mut reply = Vec::with_capacity(1 + payload.len());
-                reply.push(STATUS_OK);
-                reply.extend_from_slice(&payload);
-                (reply, stop)
+        let reply = match split_op(body) {
+            Err(e) => error_reply(e),
+            Ok((Opcode::Shutdown, _)) => return (vec![STATUS_OK], true),
+            Ok((op @ (Opcode::Ping | Opcode::Stats | Opcode::Metrics), _)) => self.cheap_reply(op),
+            Ok((op @ (Opcode::EncodeBatch | Opcode::DecodeBatch | Opcode::Classify), payload)) => {
+                match self.parse_work(op, payload) {
+                    Ok(work) => self.run_inline(work).0,
+                    Err(e) => error_reply(e),
+                }
             }
-            Err(e) => (error_reply(e), false),
-        }
+            // The serve loop intercepts these: negotiation re-frames the
+            // connection and the streaming ops own it for their strip
+            // frames.
+            Ok((Opcode::Hello | Opcode::CompressStream | Opcode::DecompressStream, _)) => {
+                error_reply(ServeError::Protocol(
+                    "Hello and the streaming ops are handled by the serve loop".into(),
+                ))
+            }
+        };
+        (reply, false)
     }
 
-    fn dispatch(&self, body: &[u8]) -> Result<(Vec<u8>, bool), ServeError> {
-        let (&op, payload) = body
-            .split_first()
-            .ok_or_else(|| ServeError::Protocol("empty request frame".into()))?;
-        let op = Opcode::from_u8(op)
-            .ok_or_else(|| ServeError::Protocol(format!("unknown opcode {op}")))?;
-        let mut r = ByteReader::new(payload);
-        match op {
-            Opcode::Ping => Ok((Vec::new(), false)),
-            Opcode::Shutdown => Ok((Vec::new(), true)),
-            // Negotiation is intercepted in the serve loop (granting
-            // FEATURE_TAGGED re-frames the connection); reachable here
-            // only via the limited-rejection path, which never dispatches.
-            Opcode::Hello => Err(ServeError::Protocol(
-                "Hello is negotiated by the serve loop, not dispatched".into(),
-            )),
-            // The streaming ops are intercepted before dispatch (they own
-            // the connection for their strip frames).
-            Opcode::CompressStream | Opcode::DecompressStream => Err(ServeError::Protocol(
-                "streaming ops must be the first frame of their exchange".into(),
-            )),
-            Opcode::Metrics => {
-                let mut w = ByteWriter::new();
-                let active = self.active.load(Ordering::SeqCst) as u64;
-                w.put_string(&self.counters.render(active));
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::EncodeBatch => {
-                let count = r.len(8)?;
-                let mut reqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reqs.push(JobRequest::Encode(protocol::get_image(&mut r)?));
-                }
-                let results = self.fan_out(reqs)?;
-                self.counters.add(Ctr::ImagesEncoded, count as u64);
-                let mut w = ByteWriter::new();
-                w.put_len(results.len());
-                for res in results {
-                    match res {
-                        JobResult::Bytes(b) => protocol::put_blob(&mut w, &b),
-                        _ => {
-                            return Err(ServeError::Remote(
-                                "encode job produced a non-bytes result".into(),
-                            ))
-                        }
-                    }
-                }
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::DecodeBatch => {
-                let count = r.len(4)?;
-                let mut reqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reqs.push(JobRequest::Decode(protocol::get_blob(&mut r)?));
-                }
-                let results = self.fan_out(reqs)?;
-                self.counters.add(Ctr::ImagesDecoded, count as u64);
-                let mut w = ByteWriter::new();
-                w.put_len(results.len());
-                for res in results {
-                    match res {
-                        JobResult::Image(img) => protocol::put_image(&mut w, &img),
-                        _ => {
-                            return Err(ServeError::Remote(
-                                "decode job produced a non-image result".into(),
-                            ))
-                        }
-                    }
-                }
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::Classify => {
-                if !self.has_model {
-                    return Err(ServeError::Remote(
-                        "service started without a model artifact".into(),
-                    ));
-                }
-                let count = r.len(8)?;
-                let mut reqs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    reqs.push(JobRequest::Classify(protocol::get_image(&mut r)?));
-                }
-                let results = self.fan_out(reqs)?;
-                self.counters.add(Ctr::ImagesClassified, count as u64);
-                let mut w = ByteWriter::new();
-                w.put_len(results.len());
-                for res in results {
-                    match res {
-                        JobResult::Label(l) => w.put_u32(l as u32),
-                        _ => {
-                            return Err(ServeError::Remote(
-                                "classify job produced a non-label result".into(),
-                            ))
-                        }
-                    }
-                }
-                Ok((w.into_bytes(), false))
-            }
-            Opcode::Stats => Ok((self.stats_payload(), false)),
-        }
-    }
-
-    /// The `Stats` ok-payload: the frozen eight-counter prefix, the
-    /// config echo, then every trailing field in append order
-    /// (docs/PROTOCOL.md — trailing fields are how `Stats` grows without
-    /// shifting what old clients read).
-    fn stats_payload(&self) -> Vec<u8> {
+    /// The complete reply body of a cheap op (`Ping`, `Stats`, `Metrics`),
+    /// shared by both framings. The `Stats` payload is the frozen
+    /// eight-counter prefix, the config echo, then every trailing field
+    /// in append order (docs/PROTOCOL.md — trailing fields are how
+    /// `Stats` grows without shifting what old clients read).
+    fn cheap_reply(&self, op: Opcode) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        // The counter array's declaration order IS the wire order
-        // (docs/PROTOCOL.md) — one source of truth for both.
-        for v in self.counters.wire_counters() {
-            w.put_u64(v);
+        w.put_u8(STATUS_OK);
+        let active = self.active.load(Ordering::SeqCst);
+        match op {
+            Opcode::Metrics => w.put_string(&self.counters.render(active as u64)),
+            Opcode::Stats => {
+                // The counter array's declaration order IS the wire order
+                // (docs/PROTOCOL.md) — one source of truth for both.
+                for v in self.counters.wire_counters() {
+                    w.put_u64(v);
+                }
+                w.put_u32(active as u32);
+                w.put_u32(self.config.workers as u32);
+                w.put_u32(self.config.queue_depth as u32);
+                w.put_u32(self.config.max_connections as u32);
+                // 0 means "no deadline"; an enabled sub-millisecond budget
+                // (e.g. `Some(Duration::ZERO)` in tests) reports as 1 so it
+                // cannot masquerade as disabled.
+                w.put_u64(
+                    self.config
+                        .request_timeout
+                        .map_or(0, |t| (t.as_millis() as u64).max(1)),
+                );
+                w.put_u8(u8::from(self.model.is_some()));
+                // Trailing fields, append-only past this point.
+                w.put_u64(self.counters.get(Ctr::TaggedConnections));
+                w.put_u64(self.counters.get(Ctr::TaggedRequests));
+            }
+            _ => {}
         }
-        w.put_u32(self.active.load(Ordering::SeqCst) as u32);
-        w.put_u32(self.config.workers as u32);
-        w.put_u32(self.config.queue_depth as u32);
-        w.put_u32(self.config.max_connections as u32);
-        // 0 means "no deadline"; an enabled sub-millisecond budget
-        // (e.g. `Some(Duration::ZERO)` in tests) reports as 1 so it
-        // cannot masquerade as disabled.
-        w.put_u64(
-            self.config
-                .request_timeout
-                .map_or(0, |t| (t.as_millis() as u64).max(1)),
-        );
-        w.put_u8(u8::from(self.has_model));
-        // Trailing fields, append-only past this point.
-        w.put_u64(self.counters.get(Ctr::TaggedConnections));
-        w.put_u64(self.counters.get(Ctr::TaggedRequests));
         w.into_bytes()
     }
+}
 
-    /// Submits one job per batch item to the bounded queue and collects
-    /// the results back into request order, honoring the per-request
-    /// deadline: a budget overrun returns a typed [`ServeError::Timeout`]
-    /// (late worker replies then land on a closed channel, harmlessly).
-    fn fan_out(&self, reqs: Vec<JobRequest>) -> Result<Vec<JobResult>, ServeError> {
-        let deadline = self.config.request_timeout.map(|t| (t, Instant::now() + t));
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let timed_out = |(budget, _): &(Duration, Instant)| {
-            // Giving up cancels the request's still-queued jobs, so a
-            // retrying client does not pile dead work onto the queue.
-            cancelled.store(true, Ordering::SeqCst);
-            self.counters.inc(Ctr::RequestsTimedOut);
-            ServeError::Timeout(format!("request exceeded its {budget:?} budget"))
-        };
-        if let Some(d) = &deadline {
-            if Instant::now() >= d.1 {
-                return Err(timed_out(d));
-            }
-        }
-        let n = reqs.len();
-        let (tx, rx) = mpsc::channel();
-        for (index, req) in reqs.into_iter().enumerate() {
-            let mut job = Job::Item(ItemJob {
-                index,
-                req,
-                reply: tx.clone(),
-                cancelled: Arc::clone(&cancelled),
-                submitted_ns: deepn_trace::tick(),
-            });
-            // Submission must honor the deadline too: a full queue under
-            // overload would otherwise block `send` past the budget —
-            // exactly the situation the timeout exists for.
-            match &deadline {
-                None => self
-                    .job_tx
-                    .send(job)
-                    .map_err(|_| ServeError::Remote("service is shutting down".into()))?,
-                Some(d) => loop {
-                    match self.job_tx.try_send(job) {
-                        Ok(()) => break,
-                        Err(mpsc::TrySendError::Disconnected(_)) => {
-                            return Err(ServeError::Remote("service is shutting down".into()));
-                        }
-                        Err(mpsc::TrySendError::Full(back)) => {
-                            if Instant::now() >= d.1 {
-                                return Err(timed_out(d));
-                            }
-                            job = back;
-                            thread::sleep(Duration::from_millis(1));
-                            // Queue wait measures queued time, not the
-                            // submitter's backoff: restamp on each retry.
-                            if let Job::Item(j) = &mut job {
-                                j.submitted_ns = deepn_trace::tick();
-                            }
-                        }
-                    }
-                },
-            }
-        }
-        drop(tx);
-        let mut out: Vec<Option<JobResult>> = std::iter::repeat_with(|| None).take(n).collect();
-        let mut first_err: Option<String> = None;
-        for _ in 0..n {
-            let (index, result) = match &deadline {
-                None => rx
-                    .recv()
-                    .map_err(|_| ServeError::Remote("worker pool died".into()))?,
-                Some(d) => {
-                    let remaining = d.1.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(remaining) {
-                        Ok(reply) => reply,
-                        Err(RecvTimeoutError::Timeout) => return Err(timed_out(d)),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(ServeError::Remote("worker pool died".into()))
-                        }
-                    }
-                }
-            };
-            match result {
-                Ok(res) => out[index] = Some(res),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(ServeError::Remote(e));
-        }
-        out.into_iter()
-            .map(|r| r.ok_or_else(|| ServeError::Remote("a fan-out job returned no result".into())))
-            .collect()
-    }
+/// Splits a request body into its opcode and payload, for both framings.
+fn split_op(body: &[u8]) -> Result<(Opcode, &[u8]), ServeError> {
+    let (&b, payload) = body
+        .split_first()
+        .ok_or_else(|| ServeError::Protocol("empty request frame".into()))?;
+    let op =
+        Opcode::from_u8(b).ok_or_else(|| ServeError::Protocol(format!("unknown opcode {b}")))?;
+    Ok((op, payload))
 }
 
 /// The span name for a request frame's opcode byte — static strings so
@@ -1827,12 +1585,7 @@ impl RequestTimer<'_> {
 
     /// Records a typed failure as this request's outcome.
     fn fail(&self, e: &ServeError) {
-        self.set_status(match e {
-            ServeError::Busy(_) => "busy",
-            ServeError::Timeout(_) => "timeout",
-            ServeError::Io(_) => "io",
-            _ => "error",
-        });
+        self.set_status(error_status(e));
     }
 }
 
@@ -1893,111 +1646,70 @@ fn error_reply(e: ServeError) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Normalizes an image exactly as `deepn_core::experiment::to_tensors`
-/// does, so a model trained by the pipeline classifies service traffic
-/// identically.
-fn image_to_tensor(img: &RgbImage) -> Tensor {
-    let mut chw = img.to_chw_f32();
+/// Labels a batch in input order. Images of one geometry run as one
+/// `[n, 3, h, w]` tensor, which `predict` splits across the shared pool;
+/// a batch of mixed geometries runs one image at a time.
+fn classify(net: &Sequential, images: &[RgbImage]) -> Vec<usize> {
+    let Some(first) = images.first() else {
+        return Vec::new();
+    };
+    let geometry = (first.width(), first.height());
+    if images
+        .iter()
+        .all(|img| (img.width(), img.height()) == geometry)
+    {
+        net.predict(&images_to_tensor(images))
+    } else {
+        images
+            .iter()
+            .flat_map(|img| net.predict(&images_to_tensor(std::slice::from_ref(img))))
+            .collect()
+    }
+}
+
+/// Stacks same-geometry images into one batch tensor, normalized exactly
+/// as `deepn_core::experiment::to_tensors` does, so a model trained by
+/// the pipeline classifies service traffic identically.
+fn images_to_tensor(images: &[RgbImage]) -> Tensor {
+    let (w, h) = (images[0].width(), images[0].height());
+    let mut chw = Vec::with_capacity(images.len() * 3 * w * h);
+    for img in images {
+        chw.extend(img.to_chw_f32());
+    }
     for v in &mut chw {
         *v -= 0.5;
     }
-    Tensor::from_vec(chw, &[1, 3, img.height(), img.width()])
+    Tensor::from_vec(chw, &[images.len(), 3, h, w])
 }
 
+/// A tagged-window worker: runs whole requests off the bounded queue and
+/// hands each finished reply to its connection's writer.
 fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    tables: &QuantTablePair,
-    model: Option<Arc<Sequential>>,
-    metrics: &ServeMetrics,
-) {
-    let encoder = Encoder::with_tables(tables.clone());
-    let decoder = Decoder::new();
-    // Per-worker codec workspaces, reused across every job this worker
-    // ever runs: after the first image of a given width, the block-strip
-    // hot loops allocate nothing.
-    let mut enc_ws = EncodeWorkspace::new();
-    let mut dec_ws = DecodeWorkspace::new();
-    loop {
-        // Hold the lock only while dequeuing, not while working.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        match job {
-            Err(_) => return,
-            Ok(Job::Item(job)) => {
-                run_item_job(
-                    job,
-                    &encoder,
-                    &decoder,
-                    model.as_ref(),
-                    &mut enc_ws,
-                    &mut dec_ws,
-                    metrics,
-                );
-            }
-            Ok(Job::Whole(job)) => {
-                execute_whole(
-                    job,
-                    &encoder,
-                    &decoder,
-                    model.as_ref(),
-                    &mut enc_ws,
-                    &mut dec_ws,
-                    metrics,
-                );
-            }
-        }
-    }
-}
-
-/// Runs one v1 fan-out item on a worker.
-fn run_item_job(
-    job: ItemJob,
+    rx: &Mutex<Receiver<WholeJob>>,
     encoder: &Encoder,
-    decoder: &Decoder,
-    model: Option<&Arc<Sequential>>,
-    enc_ws: &mut EncodeWorkspace,
-    dec_ws: &mut DecodeWorkspace,
+    model: Option<&Sequential>,
     metrics: &ServeMetrics,
 ) {
-    let dequeued_ns = deepn_trace::tick();
-    metrics
-        .queue_wait_seconds
-        .record_ns(dequeued_ns.saturating_sub(job.submitted_ns));
-    deepn_trace::record_span("serve.queue_wait", job.submitted_ns, dequeued_ns);
-    if job.cancelled.load(Ordering::SeqCst) {
-        // The request already timed out; nobody collects this result.
-        return;
+    // Hold the lock only while dequeuing, not while working; every
+    // sender gone (or a poisoned lock) ends the worker.
+    while let Ok(Ok(job)) = rx.lock().map(|queue| queue.recv()) {
+        let (body, status) = run_whole(
+            job.work,
+            job.deadline,
+            job.submitted_ns,
+            encoder,
+            model,
+            metrics,
+        );
+        job.reply.send(TaggedReply::done(
+            job.tag,
+            job.req_id,
+            job.span,
+            job.start_ns,
+            body,
+            status,
+        ));
     }
-    // A panic (e.g. an image whose geometry violates a model layer's
-    // invariants) must cost one request, not one pool thread: an
-    // unreplaced dead worker would eventually wedge the whole service.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match job.req {
-        JobRequest::Encode(img) => encoder
-            .encode_with(&img, enc_ws)
-            .map(JobResult::Bytes)
-            .map_err(|e| format!("encode failed: {e}")),
-        JobRequest::Decode(bytes) => decoder
-            .decode_with(&bytes, dec_ws)
-            .map(JobResult::Image)
-            .map_err(|e| format!("decode failed: {e}")),
-        JobRequest::Classify(img) => match model {
-            Some(net) => {
-                let labels = net.predict(&image_to_tensor(&img));
-                Ok(JobResult::Label(labels[0]))
-            }
-            None => Err("no model loaded".into()),
-        },
-    }))
-    .unwrap_or_else(|panic| Err(format!("request rejected: {}", panic_message(&panic))));
-    let done_ns = deepn_trace::tick();
-    metrics
-        .execute_seconds
-        .record_ns(done_ns.saturating_sub(dequeued_ns));
-    deepn_trace::record_span("serve.execute", dequeued_ns, done_ns);
-    // A dropped receiver means the connection died; nothing to do.
-    let _ = job.reply.send((job.index, result));
 }
 
 /// Extracts the human-readable message from a caught panic payload.
@@ -2009,8 +1721,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "worker panicked".into())
 }
 
-/// The status label for a typed failure — the tagged path's analogue of
-/// [`RequestTimer::fail`].
+/// The status label for a typed failure.
 fn error_status(e: &ServeError) -> &'static str {
     match e {
         ServeError::Busy(_) => "busy",
@@ -2034,158 +1745,58 @@ fn reject_tagged(
 ) {
     let status = error_status(&e);
     replies.send(TaggedReply {
-        tag,
-        body: error_reply(e),
         release,
-        req_id,
-        span,
-        start_ns,
-        done_ns: deepn_trace::tick(),
-        status,
+        ..TaggedReply::done(tag, req_id, span, start_ns, error_reply(e), status)
     });
 }
 
-/// Executes one whole tagged request on a worker: deadline re-checked at
-/// dequeue and between batch items, panics isolated per request, and the
-/// complete v1-shaped reply body handed to the connection's writer.
-/// Per-request payload bytes and error messages are identical to the v1
-/// fan-out path's (`tests/tagged.rs` proves it property-wise).
-fn execute_whole(
-    job: WholeJob,
-    encoder: &Encoder,
-    decoder: &Decoder,
-    model: Option<&Arc<Sequential>>,
-    enc_ws: &mut EncodeWorkspace,
-    dec_ws: &mut DecodeWorkspace,
-    metrics: &ServeMetrics,
-) {
-    let WholeJob {
-        work,
-        tag,
-        reply,
-        deadline,
-        submitted_ns,
-        start_ns,
-        req_id,
-        span,
-    } = job;
-    let done = run_whole(
-        work,
-        tag,
-        deadline,
-        submitted_ns,
-        start_ns,
-        req_id,
-        span,
-        encoder,
-        decoder,
-        model,
-        enc_ws,
-        dec_ws,
-        metrics,
-    );
-    reply.send(done);
-}
-
-/// The execution core shared by pool workers ([`execute_whole`]) and the
-/// reader's quiet-connection inline path: runs one whole tagged request
-/// to a finished [`TaggedReply`], with identical bytes, deadline checks,
-/// panic isolation, and metrics either way.
-#[allow(clippy::too_many_arguments)]
+/// The one request executor, for both framings and every thread that
+/// runs work: tagged-window workers, and connection threads running a
+/// request inline (every v1 request, small ones on a quiet tagged
+/// connection). Returns the complete reply body (status byte included)
+/// and its status label.
+///
+/// The deadline is checked before the batch starts and after it
+/// completes, so a reply that finishes past its budget is a typed
+/// timeout. Errors are chosen by item index, never by completion order,
+/// and a panic costs this request, never the thread.
 fn run_whole(
     work: WholeWork,
-    tag: u32,
     deadline: Option<(Duration, Instant)>,
     submitted_ns: u64,
-    start_ns: u64,
-    req_id: u64,
-    span: &'static str,
     encoder: &Encoder,
-    decoder: &Decoder,
-    model: Option<&Arc<Sequential>>,
-    enc_ws: &mut EncodeWorkspace,
-    dec_ws: &mut DecodeWorkspace,
+    model: Option<&Sequential>,
     metrics: &ServeMetrics,
-) -> TaggedReply {
-    let dequeued_ns = deepn_trace::tick();
+) -> (Vec<u8>, &'static str) {
+    let started_ns = deepn_trace::tick();
     metrics
         .queue_wait_seconds
-        .record_ns(dequeued_ns.saturating_sub(submitted_ns));
-    deepn_trace::record_span("serve.queue_wait", submitted_ns, dequeued_ns);
-    let over_budget = || -> Option<ServeError> {
-        deadline.as_ref().and_then(|(budget, end)| {
-            (Instant::now() >= *end)
-                .then(|| ServeError::Timeout(format!("request exceeded its {budget:?} budget")))
+        .record_ns(started_ns.saturating_sub(submitted_ns));
+    deepn_trace::record_span("serve.queue_wait", submitted_ns, started_ns);
+    let within_budget = || match &deadline {
+        Some((budget, end)) if Instant::now() >= *end => Err(ServeError::Timeout(format!(
+            "request exceeded its {budget:?} budget"
+        ))),
+        _ => Ok(()),
+    };
+    let (counter, images) = work.counter();
+    // Dead on arrival (the deadline passed while queued) skips the work.
+    let outcome = within_budget()
+        .and_then(|()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute(work, encoder, model)
+            }))
+            .unwrap_or_else(|panic| {
+                Err(ServeError::Remote(format!(
+                    "request rejected: {}",
+                    panic_message(&panic)
+                )))
+            })
         })
-    };
-    let outcome = match over_budget() {
-        // Dead on arrival: the deadline passed while queued, so skip the
-        // work entirely instead of computing a reply past its budget.
-        Some(e) => Err(e),
-        None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<Vec<u8>, ServeError> {
-                match work {
-                    WholeWork::Encode(images) => {
-                        let mut w = ByteWriter::new();
-                        w.put_len(images.len());
-                        for img in &images {
-                            if let Some(e) = over_budget() {
-                                return Err(e);
-                            }
-                            let bytes = encoder
-                                .encode_with(img, enc_ws)
-                                .map_err(|e| ServeError::Remote(format!("encode failed: {e}")))?;
-                            protocol::put_blob(&mut w, &bytes);
-                        }
-                        metrics.add(Ctr::ImagesEncoded, images.len() as u64);
-                        Ok(w.into_bytes())
-                    }
-                    WholeWork::Decode(blobs) => {
-                        let mut w = ByteWriter::new();
-                        w.put_len(blobs.len());
-                        for blob in &blobs {
-                            if let Some(e) = over_budget() {
-                                return Err(e);
-                            }
-                            let img = decoder
-                                .decode_with(blob, dec_ws)
-                                .map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
-                            protocol::put_image(&mut w, &img);
-                        }
-                        metrics.add(Ctr::ImagesDecoded, blobs.len() as u64);
-                        Ok(w.into_bytes())
-                    }
-                    WholeWork::Classify(images) => {
-                        let Some(net) = model else {
-                            return Err(ServeError::Remote("no model loaded".into()));
-                        };
-                        let mut w = ByteWriter::new();
-                        w.put_len(images.len());
-                        for img in &images {
-                            if let Some(e) = over_budget() {
-                                return Err(e);
-                            }
-                            let labels = net.predict(&image_to_tensor(img));
-                            w.put_u32(labels[0] as u32);
-                        }
-                        metrics.add(Ctr::ImagesClassified, images.len() as u64);
-                        Ok(w.into_bytes())
-                    }
-                }
-            },
-        ))
-        .unwrap_or_else(|panic| {
-            Err(ServeError::Remote(format!(
-                "request rejected: {}",
-                panic_message(&panic)
-            )))
-        }),
-    };
-    let (body, status) = match outcome {
-        Ok(payload) => {
-            let mut body = Vec::with_capacity(1 + payload.len());
-            body.push(STATUS_OK);
-            body.extend_from_slice(&payload);
+        .and_then(|body| within_budget().map(|()| body));
+    let reply = match outcome {
+        Ok(body) => {
+            metrics.add(counter, images);
             (body, "ok")
         }
         Err(e) => {
@@ -2199,16 +1810,47 @@ fn run_whole(
     let done_ns = deepn_trace::tick();
     metrics
         .execute_seconds
-        .record_ns(done_ns.saturating_sub(dequeued_ns));
-    deepn_trace::record_span("serve.execute", dequeued_ns, done_ns);
-    TaggedReply {
-        tag,
-        body,
-        release: true,
-        req_id,
-        span,
-        start_ns,
-        done_ns,
-        status,
+        .record_ns(done_ns.saturating_sub(started_ns));
+    deepn_trace::record_span("serve.execute", started_ns, done_ns);
+    reply
+}
+
+/// Runs a batch to its ok reply body. Its images fan out on the shared
+/// pool; the first failing item *by index* fails the request.
+fn execute(
+    work: WholeWork,
+    encoder: &Encoder,
+    model: Option<&Sequential>,
+) -> Result<Vec<u8>, ServeError> {
+    let mut w = ByteWriter::new();
+    w.put_u8(STATUS_OK);
+    match work {
+        WholeWork::Encode(images) => {
+            let blobs = encoder.encode_batch(&images);
+            w.put_len(blobs.len());
+            for blob in blobs {
+                let blob = blob.map_err(|e| ServeError::Remote(format!("encode failed: {e}")))?;
+                protocol::put_blob(&mut w, &blob);
+            }
+        }
+        WholeWork::Decode(blobs) => {
+            let images = Decoder::new().decode_batch(&blobs);
+            w.put_len(images.len());
+            for img in images {
+                let img = img.map_err(|e| ServeError::Remote(format!("decode failed: {e}")))?;
+                protocol::put_image(&mut w, &img);
+            }
+        }
+        WholeWork::Classify(images) => {
+            let Some(net) = model else {
+                return Err(ServeError::Remote("no model loaded".into()));
+            };
+            let labels = classify(net, &images);
+            w.put_len(labels.len());
+            for label in labels {
+                w.put_u32(label as u32);
+            }
+        }
     }
+    Ok(w.into_bytes())
 }

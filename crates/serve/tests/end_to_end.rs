@@ -3,7 +3,7 @@
 
 use deepn_codec::{Decoder, Encoder, QuantTablePair};
 use deepn_dataset::{DatasetSpec, ImageSet};
-use deepn_serve::{Client, ServeError, Server, ServerConfig};
+use deepn_serve::{Client, PipelineReply, ServeError, Server, ServerConfig};
 use std::time::Duration;
 
 fn start(tables: QuantTablePair) -> (deepn_serve::ServerHandle, Client) {
@@ -56,17 +56,63 @@ fn batch_round_trip_is_byte_identical_to_local_codec() {
 
 #[test]
 fn oversized_batches_flow_through_the_bounded_queue() {
-    // More jobs than queue_depth (8) exercises backpressure rather than
-    // failure.
+    let tables = QuantTablePair::uniform(6);
     let set = ImageSet::generate(&DatasetSpec::tiny(), 5);
+    let encoder = Encoder::with_tables(tables.clone());
+    let local = |batch: &[deepn_codec::RgbImage]| -> Vec<Vec<u8>> {
+        batch
+            .iter()
+            .map(|img| encoder.encode(img).expect("local encode"))
+            .collect()
+    };
+
+    // A v1 batch with more images than the queue has slots runs whole:
+    // its size is bounded by the frame limit, never by the queue.
     let images: Vec<_> = std::iter::repeat_with(|| set.images().iter().cloned())
         .take(4)
         .flatten()
         .collect();
     assert!(images.len() > 8);
-    let (handle, mut client) = start(QuantTablePair::uniform(6));
+    let (handle, mut client) = start(tables.clone());
     let streams = client.encode_batch(&images).expect("large batch");
-    assert_eq!(streams.len(), images.len());
+    assert_eq!(streams, local(&images));
+    client.shutdown().expect("shutdown");
+    handle.join();
+
+    // A tagged window deeper than the queue, on one worker: requests
+    // past the free slots wait for room (backpressure), none fail. Each
+    // request is one image over the inline budget, so none runs on the
+    // reader and none is split by the client.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        tables,
+        None,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 2,
+            tagged_window: 16,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let handle = server.spawn();
+    let mut client = Client::connect_retry(handle.addr(), Duration::from_secs(5)).expect("connect");
+    assert!(client.upgrade_tagged().expect("negotiate"));
+    let batches: Vec<_> = (0..16)
+        .map(|i| vec![deepn_codec::RgbImage::gradient(64 + 8 * (i % 4), 72)])
+        .collect();
+    {
+        let mut pipe = client.pipeline(16);
+        for batch in &batches {
+            pipe.submit_encode_batch(batch).expect("submit");
+        }
+        for batch in &batches {
+            assert_eq!(
+                pipe.recv().expect("reply"),
+                PipelineReply::Encoded(local(batch))
+            );
+        }
+    }
     client.shutdown().expect("shutdown");
     handle.join();
 }
@@ -93,9 +139,9 @@ fn errors_are_remote_not_fatal() {
 
 #[test]
 fn geometry_mismatch_costs_a_request_not_a_worker() {
-    // A model built for 16x16 inputs, served with a single worker: a
-    // wrong-geometry classify must come back as a remote error while the
-    // worker survives to serve correct requests afterwards.
+    // A model built for 16x16 inputs: a wrong-geometry classify panics
+    // inside inference, which must come back as a remote error while the
+    // executing thread survives to serve correct requests afterwards.
     let model = deepn_nn::zoo::mlp_probe(3, 16, 16, 4, 3);
     let server = Server::bind(
         "127.0.0.1:0",
@@ -118,10 +164,54 @@ fn geometry_mismatch_costs_a_request_not_a_worker() {
             .expect_err("wrong geometry");
         assert!(matches!(err, ServeError::Remote(_)), "{err}");
     }
-    // The lone worker is still alive: a well-formed request succeeds.
+    // The thread is still alive: a well-formed request succeeds.
     let good = deepn_codec::RgbImage::gradient(16, 16);
     let labels = client.classify(&[good]).expect("classify");
     assert_eq!(labels.len(), 1);
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn batch_classify_matches_per_image_labels() {
+    // A same-geometry batch runs through the model as one tensor that
+    // the pool splits; its labels must be the per-image labels, in order.
+    let set = ImageSet::generate(&DatasetSpec::tiny(), 9);
+    let images = set.images();
+    assert!(images.len() >= 16);
+    let model = || deepn_nn::zoo::mini_alexnet(3, 16, 16, 4, 17);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        QuantTablePair::standard(60),
+        Some(model()),
+        ServerConfig::default(),
+    )
+    .expect("bind");
+    let handle = server.spawn();
+    let mut client = Client::connect_retry(handle.addr(), Duration::from_secs(5)).expect("connect");
+
+    let local = model();
+    let expected: Vec<usize> = images
+        .iter()
+        .map(|img| {
+            let chw: Vec<f32> = img.to_chw_f32().into_iter().map(|v| v - 0.5).collect();
+            local.predict(&deepn_tensor::Tensor::from_vec(chw, &[1, 3, 16, 16]))[0]
+        })
+        .collect();
+    let one_at_a_time: Vec<usize> = images
+        .iter()
+        .map(|img| {
+            client
+                .classify(std::slice::from_ref(img))
+                .expect("classify")[0]
+        })
+        .collect();
+    // An untrained model still splits this set across classes, so an
+    // order mix-up inside the batch cannot hide behind one repeated label.
+    assert!(expected.iter().any(|&l| l != expected[0]), "{expected:?}");
+    assert_eq!(one_at_a_time, expected);
+    assert_eq!(client.classify(images).expect("batch classify"), expected);
+
     client.shutdown().expect("shutdown");
     handle.join();
 }

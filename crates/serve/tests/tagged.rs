@@ -352,50 +352,57 @@ fn build_request(kind: u8, n: usize, w: usize, h: usize, fill: u8) -> Vec<u8> {
 
 #[test]
 fn tagged_replies_are_byte_identical_to_v1_per_request() {
-    // One worker pins multi-item completion order to item order, so the
-    // v1 fan-out's first-error choice is deterministic and comparable.
-    let handle = start(ServerConfig {
-        workers: 1,
-        queue_depth: 8,
-        ..ServerConfig::default()
-    });
-    let mut v1 = TcpStream::connect(handle.addr()).expect("v1 connect");
-    let mut v2 = TcpStream::connect(handle.addr()).expect("v2 connect");
-    assert_eq!(hello(&mut v2) & FEATURE_TAGGED, FEATURE_TAGGED);
+    // Both framings run batches through one executor that picks a
+    // failing batch's error by item index, so the replies agree at any
+    // worker count: one worker, and the default pool.
+    let configs = [
+        ServerConfig {
+            workers: 1,
+            queue_depth: 8,
+            ..ServerConfig::default()
+        },
+        ServerConfig::default(),
+    ];
+    for config in configs {
+        let handle = start(config);
+        let mut v1 = TcpStream::connect(handle.addr()).expect("v1 connect");
+        let mut v2 = TcpStream::connect(handle.addr()).expect("v2 connect");
+        assert_eq!(hello(&mut v2) & FEATURE_TAGGED, FEATURE_TAGGED);
 
-    // `Stats` is excluded by construction: its payload is a live counter
-    // snapshot, not a function of the request.
-    let request = (0u8..4, 1usize..=3, 1usize..=16, 1usize..=16, any::<u8>())
-        .prop_map(|(kind, n, w, h, fill)| build_request(kind, n, w, h, fill));
-    let mix = (1usize..5).prop_flat_map(move |len| prop_vec(request.clone(), len));
+        // `Stats` is excluded by construction: its payload is a live counter
+        // snapshot, not a function of the request.
+        let request = (0u8..4, 1usize..=3, 1usize..=16, 1usize..=16, any::<u8>())
+            .prop_map(|(kind, n, w, h, fill)| build_request(kind, n, w, h, fill));
+        let mix = (1usize..5).prop_flat_map(move |len| prop_vec(request.clone(), len));
 
-    let mut runner = TestRunner::new(ProptestConfig::with_cases(24), "tagged_v1_identity");
-    let mut tag = 100u32;
-    for case in 0..runner.cases() {
-        let seed = runner.seed();
-        for body in mix.sample(runner.rng()) {
-            protocol::write_frame(&mut v1, &body).expect("v1 request");
-            let expect = protocol::read_frame(&mut v1)
-                .expect("v1 reply")
-                .expect("reply before eof");
-            tag += 1;
-            send_tagged(&mut v2, tag, &body);
-            let reply = protocol::read_frame(&mut v2)
-                .expect("v2 reply")
-                .expect("reply before eof");
-            let (echoed, rest) = protocol::split_tagged(&reply).expect("tagged reply");
-            assert_eq!(echoed, tag, "case {case} (seed {seed:#x})");
-            assert_eq!(
-                rest,
-                &expect[..],
-                "case {case} (seed {seed:#x}): v2 reply diverges from v1 for {body:?}"
-            );
+        let mut runner = TestRunner::new(ProptestConfig::with_cases(24), "tagged_v1_identity");
+        let mut tag = 100u32;
+        for case in 0..runner.cases() {
+            let seed = runner.seed();
+            for body in mix.sample(runner.rng()) {
+                protocol::write_frame(&mut v1, &body).expect("v1 request");
+                let expect = protocol::read_frame(&mut v1)
+                    .expect("v1 reply")
+                    .expect("reply before eof");
+                tag += 1;
+                send_tagged(&mut v2, tag, &body);
+                let reply = protocol::read_frame(&mut v2)
+                    .expect("v2 reply")
+                    .expect("reply before eof");
+                let (echoed, rest) = protocol::split_tagged(&reply).expect("tagged reply");
+                assert_eq!(echoed, tag, "case {case} (seed {seed:#x})");
+                assert_eq!(
+                    rest,
+                    &expect[..],
+                    "case {case} (seed {seed:#x}): v2 reply diverges from v1 for {body:?}"
+                );
+            }
         }
+        drop(v2);
+        protocol::write_frame(&mut v1, &[Opcode::Shutdown as u8]).expect("shutdown");
+        let _ = protocol::read_frame(&mut v1);
+        handle.join();
     }
-    drop(v2);
-    protocol::write_frame(&mut v1, &[Opcode::Shutdown as u8]).expect("shutdown");
-    let _ = protocol::read_frame(&mut v1);
-    handle.join();
 }
 
 #[test]

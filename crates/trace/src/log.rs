@@ -170,27 +170,54 @@ struct LogRing {
     lines: Mutex<VecDeque<(u64, String)>>,
 }
 
-/// All rings ever registered; rings outlive their threads so a panic
-/// dump still sees events from finished workers.
-static LOG_RINGS: Mutex<Vec<Arc<LogRing>>> = Mutex::new(Vec::new());
+/// The flight recorder's rings: one per live thread that has logged,
+/// plus one retired ring holding the newest [`RING_CAP`] lines of
+/// threads that have exited, so a panic dump still shows recent events
+/// of finished connections while memory stays bounded under churn.
+struct Rings {
+    live: Vec<Arc<LogRing>>,
+    retired: VecDeque<(u64, String)>,
+}
+
+static LOG_RINGS: Mutex<Rings> = Mutex::new(Rings {
+    live: Vec::new(),
+    retired: VecDeque::new(),
+});
 
 /// Global event sequence — orders the merged dump across threads.
 static SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// A thread's registration in [`LOG_RINGS`]; dropped at thread exit,
+/// when it deregisters the ring and folds its lines into the retired one.
+struct LocalRing(Arc<LogRing>);
+
+impl Drop for LocalRing {
+    fn drop(&mut self) {
+        let mut rings = lock_unpoisoned(&LOG_RINGS);
+        rings.live.retain(|r| !Arc::ptr_eq(r, &self.0));
+        // Merge by sequence number, keeping the newest RING_CAP lines.
+        let retired = &mut rings.retired;
+        retired.extend(std::mem::take(&mut *lock_unpoisoned(&self.0.lines)));
+        retired.make_contiguous().sort_by_key(|(seq, _)| *seq);
+        let excess = retired.len().saturating_sub(RING_CAP);
+        retired.drain(..excess);
+    }
+}
+
 thread_local! {
-    static LOCAL_RING: Arc<LogRing> = {
+    static LOCAL_RING: LocalRing = {
         let ring = Arc::new(LogRing {
             lines: Mutex::new(VecDeque::with_capacity(RING_CAP)),
         });
-        lock_unpoisoned(&LOG_RINGS).push(Arc::clone(&ring));
-        ring
+        lock_unpoisoned(&LOG_RINGS).live.push(Arc::clone(&ring));
+        LocalRing(ring)
     };
 }
 
 fn record_line(line: String) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     LOCAL_RING.with(|r| {
-        let mut lines = lock_unpoisoned(&r.lines);
+        let mut lines = lock_unpoisoned(&r.0.lines);
         if lines.len() == RING_CAP {
             lines.pop_front();
         }
@@ -202,19 +229,24 @@ fn record_line(line: String) {
 /// emission order). Includes events below the level filter — the flight
 /// recorder sees everything.
 pub fn recent_events() -> Vec<String> {
-    let rings: Vec<Arc<LogRing>> = lock_unpoisoned(&LOG_RINGS).iter().map(Arc::clone).collect();
     let mut tagged: Vec<(u64, String)> = Vec::new();
-    for r in rings {
-        tagged.extend(lock_unpoisoned(&r.lines).iter().cloned());
+    {
+        let rings = lock_unpoisoned(&LOG_RINGS);
+        tagged.extend(rings.retired.iter().cloned());
+        for r in &rings.live {
+            tagged.extend(lock_unpoisoned(&r.lines).iter().cloned());
+        }
     }
     tagged.sort_by_key(|(seq, _)| *seq);
     tagged.into_iter().map(|(_, line)| line).collect()
 }
 
-/// Empties every flight-recorder ring (rings stay registered).
+/// Empties every flight-recorder ring, the retired one included (live
+/// rings stay registered).
 pub fn clear_recent() {
-    let rings: Vec<Arc<LogRing>> = lock_unpoisoned(&LOG_RINGS).iter().map(Arc::clone).collect();
-    for r in rings {
+    let mut rings = lock_unpoisoned(&LOG_RINGS);
+    rings.retired.clear();
+    for r in &rings.live {
         lock_unpoisoned(&r.lines).clear();
     }
 }
@@ -595,6 +627,30 @@ mod tests {
         assert!(events
             .iter()
             .any(|l| l.contains(&format!("i={}", RING_CAP + 49))));
+        clear_recent();
+    }
+
+    #[test]
+    fn exited_threads_leave_a_bounded_recorder() {
+        let _gate = lock_unpoisoned(&GATE);
+        clear_recent();
+        let before = lock_unpoisoned(&LOG_RINGS).live.len();
+        let threads = RING_CAP + 50;
+        for i in 0..threads {
+            std::thread::spawn(move || trace("exited").field("i", i).emit())
+                .join()
+                .expect("logging thread");
+        }
+        // Every exited thread deregistered its ring...
+        assert!(lock_unpoisoned(&LOG_RINGS).live.len() <= before);
+        // ...and the retired ring keeps only the newest RING_CAP lines.
+        let events: Vec<String> = recent_events()
+            .into_iter()
+            .filter(|l| l.contains("event=exited"))
+            .collect();
+        assert_eq!(events.len(), RING_CAP);
+        assert!(!events.iter().any(|l| l.ends_with("i=0")));
+        assert!(events[RING_CAP - 1].ends_with(&format!("i={}", threads - 1)));
         clear_recent();
     }
 

@@ -128,12 +128,13 @@ impl Gauge {
     }
 }
 
-/// One histogram shard: bucket counts plus sum/count/max, all relaxed
-/// atomics.
+/// One histogram shard: bucket counts plus sum/max, all relaxed
+/// atomics. The observation count is the bucket total, never a separate
+/// atomic, so a scrape racing a recorder cannot see a `_count` below
+/// its buckets.
 struct Shard {
     counts: [AtomicU64; NBUCKETS],
     sum_ns: AtomicU64,
-    count: AtomicU64,
     max_ns: AtomicU64,
 }
 
@@ -142,7 +143,6 @@ impl Shard {
         Shard {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
     }
@@ -189,7 +189,6 @@ impl Histogram {
         let shard = &self.shards[thread_ordinal() % NSHARDS];
         shard.counts[Self::bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
         shard.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -203,7 +202,9 @@ impl Histogram {
         let mut snap = HistogramSnapshot::empty();
         for shard in &self.shards {
             for (i, c) in shard.counts.iter().enumerate() {
-                snap.buckets[i] += c.load(Ordering::Relaxed);
+                let n = c.load(Ordering::Relaxed);
+                snap.buckets[i] += n;
+                snap.count += n;
             }
             // Wrapping, to match `fetch_add` on the shard atomics: a sum
             // past u64 nanoseconds (585 years) wraps instead of panicking
@@ -211,7 +212,6 @@ impl Histogram {
             snap.sum_ns = snap
                 .sum_ns
                 .wrapping_add(shard.sum_ns.load(Ordering::Relaxed));
-            snap.count += shard.count.load(Ordering::Relaxed);
             snap.max_ns = snap.max_ns.max(shard.max_ns.load(Ordering::Relaxed));
         }
         snap
@@ -616,5 +616,28 @@ mod tests {
         // The registered counter is untouched and still renders.
         assert_eq!(c.get(), 1);
         assert!(r.render().contains("deepn_test_kind 1"));
+    }
+
+    #[test]
+    fn render_stays_valid_while_threads_record() {
+        // A scrape racing live recorders must still be a valid
+        // exposition: +Inf == _count >= every finite cumulative bucket.
+        use std::sync::atomic::AtomicBool;
+        let r = Registry::new();
+        let h = r.histogram("deepn_test_race_seconds", "test histogram");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for t in 0..3u64 {
+                let (h, stop) = (&h, &stop);
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record_ns(100 << (4 * t));
+                    }
+                });
+            }
+            let outcome = (0..2_000).try_for_each(|_| crate::prom::validate(&r.render()).map(drop));
+            stop.store(true, Ordering::Relaxed);
+            outcome.expect("scrape under concurrent recording");
+        });
     }
 }

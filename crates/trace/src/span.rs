@@ -45,6 +45,7 @@ pub struct SpanEvent {
     pub tid: u32,
 }
 
+#[derive(Default)]
 struct Ring {
     events: std::collections::VecDeque<SpanEvent>,
     dropped: u64,
@@ -54,26 +55,62 @@ struct ThreadRing {
     ring: Mutex<Ring>,
 }
 
-/// All rings ever registered (threads register lazily on first record;
-/// rings outlive their threads so late scrapes still see their events).
-static RINGS: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+/// The span rings: one per live thread that has recorded, plus one
+/// retired ring holding the newest [`RING_CAP`] events of threads that
+/// have exited (late scrapes still see them, memory stays bounded).
+struct Rings {
+    live: Vec<Arc<ThreadRing>>,
+    retired: Ring,
+}
+
+static RINGS: Mutex<Rings> = Mutex::new(Rings {
+    live: Vec::new(),
+    retired: Ring {
+        events: std::collections::VecDeque::new(),
+        dropped: 0,
+    },
+});
+
+/// A thread's registration in [`RINGS`]; dropped at thread exit, when it
+/// deregisters the ring and folds its events and drop count into the
+/// retired one.
+struct LocalRing(Arc<ThreadRing>);
+
+impl Drop for LocalRing {
+    fn drop(&mut self) {
+        let mut rings = lock_unpoisoned(&RINGS);
+        rings.live.retain(|r| !Arc::ptr_eq(r, &self.0));
+        let exited = std::mem::take(&mut *lock_unpoisoned(&self.0.ring));
+        let retired = &mut rings.retired;
+        retired.dropped += exited.dropped;
+        retired.events.extend(exited.events);
+        retired
+            .events
+            .make_contiguous()
+            .sort_by_key(|e| (e.start_ns, e.tid));
+        // Folding evicts the oldest events; they count as dropped.
+        let excess = retired.events.len().saturating_sub(RING_CAP);
+        retired.events.drain(..excess);
+        retired.dropped += excess as u64;
+    }
+}
 
 thread_local! {
-    static LOCAL: Arc<ThreadRing> = {
+    static LOCAL: LocalRing = {
         let ring = Arc::new(ThreadRing {
             ring: Mutex::new(Ring {
                 events: std::collections::VecDeque::with_capacity(RING_CAP),
                 dropped: 0,
             }),
         });
-        lock_unpoisoned(&RINGS).push(Arc::clone(&ring));
-        ring
+        lock_unpoisoned(&RINGS).live.push(Arc::clone(&ring));
+        LocalRing(ring)
     };
 }
 
 fn push_event(ev: SpanEvent) {
     LOCAL.with(|tr| {
-        let mut ring = lock_unpoisoned(&tr.ring);
+        let mut ring = lock_unpoisoned(&tr.0.ring);
         if ring.events.len() == RING_CAP {
             ring.events.pop_front();
             ring.dropped += 1;
@@ -162,36 +199,40 @@ macro_rules! span {
     };
 }
 
-/// Clones every thread's ring into one list, sorted by `(start, tid)`.
-/// Recording threads are not paused; events recorded during the snapshot
-/// may or may not be included.
+/// Clones every thread's ring (and the retired ring of exited threads)
+/// into one list, sorted by `(start, tid)`. Recording threads are not
+/// paused; events recorded during the snapshot may or may not be
+/// included.
 pub fn snapshot_spans() -> Vec<SpanEvent> {
-    let rings: Vec<Arc<ThreadRing>> = lock_unpoisoned(&RINGS).iter().map(Arc::clone).collect();
-    let mut out = Vec::new();
-    for tr in rings {
-        let ring = lock_unpoisoned(&tr.ring);
-        out.extend(ring.events.iter().cloned());
+    let rings = lock_unpoisoned(&RINGS);
+    let mut out: Vec<SpanEvent> = rings.retired.events.iter().cloned().collect();
+    for tr in &rings.live {
+        out.extend(lock_unpoisoned(&tr.ring).events.iter().cloned());
     }
+    drop(rings);
     out.sort_by_key(|e| (e.start_ns, e.tid));
     out
 }
 
-/// Total events dropped to ring overflow, across all threads.
+/// Total events dropped to ring overflow, across all threads, exited
+/// ones included.
 pub fn dropped_spans() -> u64 {
-    let rings: Vec<Arc<ThreadRing>> = lock_unpoisoned(&RINGS).iter().map(Arc::clone).collect();
-    rings
+    let rings = lock_unpoisoned(&RINGS);
+    let live: u64 = rings
+        .live
         .iter()
         .map(|tr| lock_unpoisoned(&tr.ring).dropped)
-        .sum()
+        .sum();
+    live + rings.retired.dropped
 }
 
-/// Empties every ring and resets drop counters (rings stay registered).
+/// Empties every ring, the retired one included, and resets drop
+/// counters (live rings stay registered).
 pub fn clear_spans() {
-    let rings: Vec<Arc<ThreadRing>> = lock_unpoisoned(&RINGS).iter().map(Arc::clone).collect();
-    for tr in rings {
-        let mut ring = lock_unpoisoned(&tr.ring);
-        ring.events.clear();
-        ring.dropped = 0;
+    let mut rings = lock_unpoisoned(&RINGS);
+    rings.retired = Ring::default();
+    for tr in &rings.live {
+        *lock_unpoisoned(&tr.ring) = Ring::default();
     }
 }
 
@@ -231,6 +272,31 @@ mod tests {
             .find(|e| e.name == "test.manual")
             .expect("manual span recorded");
         assert_eq!(manual.dur_ns, 15);
+        clear_spans();
+    }
+
+    #[test]
+    fn exited_threads_fold_into_a_bounded_retired_ring() {
+        let _gate = lock_unpoisoned(&GATE);
+        set_enabled(true);
+        clear_spans();
+        let before = lock_unpoisoned(&RINGS).live.len();
+        // Each thread leaves one event; together they overflow the
+        // retired ring by 10, and the overflow is counted, not lost.
+        for i in 0..(RING_CAP as u64 + 10) {
+            std::thread::spawn(move || record_span("test.exited", i, i + 1))
+                .join()
+                .expect("recording thread");
+        }
+        set_enabled(false);
+        assert!(lock_unpoisoned(&RINGS).live.len() <= before);
+        let spans: Vec<SpanEvent> = snapshot_spans()
+            .into_iter()
+            .filter(|e| e.name == "test.exited")
+            .collect();
+        assert_eq!(spans.len(), RING_CAP);
+        assert!(spans.iter().all(|e| e.start_ns >= 10));
+        assert_eq!(dropped_spans(), 10);
         clear_spans();
     }
 

@@ -50,7 +50,10 @@ COMMANDS:
     gen-ppm       Write a synthetic gradient PPM row-by-row (test input
                   for the streaming paths; never materializes the image)
                   --out PATH [--width N] [--height N]
-    serve         Run the compression service on stored tables
+    serve         Run the compression service on stored tables. It runs
+                  whole requests; --workers runs tagged windows (off a
+                  --queue-bounded queue); images fan out on the shared
+                  pool
                   --tables PATH --addr HOST:PORT [--workers N] [--queue N]
                   [--max-conns N] [--timeout-ms N (0 = no deadline)]
                   [--slow-ms N (log requests at/over N ms; 0 = off)]
@@ -987,11 +990,17 @@ fn print_profile_report() {
         Some(Reading::Counter(v)) | Some(Reading::Gauge(v)) => v,
         _ => 0,
     };
+    // The pool charges busy time only while tracing is on; a 0 would
+    // read as an idle pool rather than an unmeasured one.
+    let busy = if deepn::trace::enabled() {
+        human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9)
+    } else {
+        "n/a (tracing off)".to_string()
+    };
     println!(
-        "pool: {} steals, queue high-water {}, workers busy {}",
+        "pool: {} steals, queue high-water {}, workers busy {busy}",
         counter("deepn_parallel_steals_total"),
         counter("deepn_parallel_queue_high_water"),
-        human_seconds(counter("deepn_parallel_worker_busy_ns_total") as f64 / 1e9),
     );
 }
 

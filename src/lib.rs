@@ -15,8 +15,9 @@
 //!   quantization-table design, baselines, and the experiment pipeline
 //! - [`store`] — versioned, checksummed on-disk artifacts (tables, band
 //!   statistics, datasets, trained weights; see `docs/ARTIFACT_FORMAT.md`)
-//! - [`serve`] — the long-running TCP compression service (worker pool +
-//!   bounded job queue, both wire directions streamed strip-by-strip) and
+//! - [`serve`] — the long-running TCP compression service (whole
+//!   requests, `--workers` running tagged windows, images fanned out on
+//!   the shared pool, both wire directions streamed strip-by-strip) and
 //!   its persistent, pipelining client (see `docs/PROTOCOL.md`)
 //! - [`front`] — sharded multi-process front end: supervises N `serve`
 //!   backends, routes connections by consistent hashing with failover,

@@ -1,6 +1,7 @@
 //! Property-based parity tests for the `deepn-parallel` determinism
 //! contract: every pool-parallel hot path must produce output
-//! **byte-identical** to its scalar (inline) execution. The scalar side
+//! **byte-identical** to its scalar (inline) execution, and an
+//! image-level batch must equal its per-image calls. The scalar side
 //! is obtained with `deepn::parallel::run_sequential`, which forces the
 //! same code down the inline path — so one process compares both
 //! executors, and CI additionally runs this whole suite under
@@ -18,8 +19,46 @@ fn arb_image(max_side: usize) -> impl Strategy<Value = RgbImage> {
     })
 }
 
+fn arb_batch(max_len: usize, max_side: usize) -> impl Strategy<Value = Vec<RgbImage>> {
+    (0..=max_len).prop_flat_map(move |n| proptest::collection::vec(arb_image(max_side), n))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn batch_encode_is_byte_identical_to_per_image_encode(
+        images in arb_batch(5, 24),
+        qf in 1u8..=100,
+    ) {
+        let enc = Encoder::with_quality(qf);
+        let each = run_sequential(|| images.iter().map(|img| enc.encode(img)).collect::<Vec<_>>());
+        prop_assert_eq!(&enc.encode_batch(&images), &each);
+        prop_assert_eq!(&run_sequential(|| enc.encode_batch(&images)), &each);
+        prop_assert!(each.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn batch_decode_is_identical_to_per_image_decode(
+        images in arb_batch(5, 24),
+        qf in 1u8..=100,
+        garbage_at in 0usize..6,
+    ) {
+        // One garbage stream in the batch: its slot carries exactly that
+        // stream's error, and every other slot still decodes.
+        let enc = Encoder::with_quality(qf);
+        let mut streams: Vec<Vec<u8>> =
+            images.iter().map(|img| enc.encode(img).expect("encode")).collect();
+        let garbage_at = garbage_at.min(streams.len());
+        streams.insert(garbage_at, vec![0xDE, 0xAD, 0xBE, 0xEF]);
+        let dec = Decoder::new();
+        let each = run_sequential(|| streams.iter().map(|s| dec.decode(s)).collect::<Vec<_>>());
+        prop_assert_eq!(&dec.decode_batch(&streams), &each);
+        prop_assert_eq!(&run_sequential(|| dec.decode_batch(&streams)), &each);
+        for (i, result) in each.iter().enumerate() {
+            prop_assert_eq!(result.is_err(), i == garbage_at);
+        }
+    }
 
     #[test]
     fn parallel_encode_is_byte_identical_to_scalar(img in arb_image(40), qf in 1u8..=100) {
